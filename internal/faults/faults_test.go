@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -248,5 +249,58 @@ func TestCheckSnapshotsFirstViolationTime(t *testing.T) {
 	}
 	if want := int64(snaps[2].At); firstAt != want {
 		t.Fatalf("firstAt = %d, want %d (t=%v)", firstAt, want, snaps[2].At)
+	}
+}
+
+// TestCheckNegativeCountersOrder pins the negative-counter violations of a
+// result corrupted in flows, links, hosts and CMs at once: one violation per
+// negative flattened key (the per-entity fields and the totals they drag
+// below zero), in sorted key order — so links[10] precedes links[2] — from
+// both the end-of-run and the snapshot checker.
+func TestCheckNegativeCountersOrder(t *testing.T) {
+	res := churnResult(t)
+	if len(res.Flows) < 2 || len(res.Hosts) < 2 || len(res.CMs) < 1 {
+		t.Fatalf("churn result too small for the test: %d flows %d hosts %d cms",
+			len(res.Flows), len(res.Hosts), len(res.CMs))
+	}
+	// Pad to eleven links so a two-digit index sorts against a one-digit one.
+	for len(res.Links) <= 10 {
+		res.Links = append(res.Links, scenario.LinkResult{Name: "pad"})
+	}
+	res.Flows[1].Retransmissions = -1_000_000
+	res.Links[10].QueueDrops = -1_000_000
+	res.Links[2].Reordered = -2
+	res.Hosts[1].NoRouteDrops = -3
+	res.CMs[0].PendingRequests = -4
+	var rtx int64
+	for _, f := range res.Flows {
+		rtx += f.Retransmissions
+	}
+	var queueDrops int
+	for _, l := range res.Links {
+		queueDrops += l.QueueDrops
+	}
+	want := []string{
+		"cms[0].pending_requests = -4",
+		"flows[1].retransmissions = -1e+06",
+		"hosts[1].NoRouteDrops = -3",
+		"links[10].QueueDrops = -1e+06",
+		"links[2].Reordered = -2",
+		fmt.Sprintf("total.queue_drops = %v", float64(queueDrops)),
+		fmt.Sprintf("total.retransmissions = %v", float64(rtx)),
+	}
+	for name, vs := range map[string][]Violation{
+		"Check":         Check(res),
+		"CheckSnapshot": CheckSnapshot(&scenario.Snapshot{At: res.EndTime, Result: res}),
+	} {
+		var got []string
+		for _, v := range vs {
+			if v.Rule == RuleNegativeCounter {
+				got = append(got, v.Detail)
+			}
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s negative-counter violations:\n%s\nwant:\n%s", name, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
 	}
 }

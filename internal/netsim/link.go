@@ -125,7 +125,7 @@ type Link struct {
 	cfg   LinkConfig
 	sched *simtime.Scheduler
 	dst   Receiver
-	queue *Queue
+	queue Queue
 	// key orders this link's delivery events against same-instant deliveries
 	// from other links (see SortKey). Derived from the direction name at
 	// construction so serial and sharded builds agree on it.
@@ -181,12 +181,6 @@ type Link struct {
 	// links whose destination lives on another shard; the receiving shard
 	// later calls DeliverRemote. See docs/PERF.md, "Sharded execution".
 	remote RemoteDeliver
-
-	// txDone and handUpArg are built once so the per-packet transmit and
-	// delivery events schedule with AfterArg instead of a fresh closure,
-	// keeping the steady-state path allocation-free.
-	txDone    func(any)
-	handUpArg func(any)
 }
 
 // NewLink creates a link delivering to dst. The destination may be changed
@@ -199,16 +193,15 @@ func NewLink(sched *simtime.Scheduler, cfg LinkConfig, dst Receiver) *Link {
 	if qp == 0 && qb == 0 {
 		qp = 100
 	}
-	q := NewQueue(qp, qb, DropTail)
-	if cfg.ECNThresholdPackets > 0 {
-		q.SetECNThreshold(cfg.ECNThresholdPackets)
-	}
 	l := &Link{
 		cfg:   cfg,
 		sched: sched,
 		dst:   dst,
-		queue: q,
+		queue: makeQueue(qp, qb, DropTail),
 		key:   nameKey(cfg.Name),
+	}
+	if cfg.ECNThresholdPackets > 0 {
+		l.queue.SetECNThreshold(cfg.ECNThresholdPackets)
 	}
 	if cfg.Gilbert != nil {
 		g := cfg.Gilbert.withDefaults()
@@ -217,12 +210,23 @@ func NewLink(sched *simtime.Scheduler, cfg LinkConfig, dst Receiver) *Link {
 			l.armGETick()
 		}
 	}
-	l.txDone = func(x any) {
-		l.deliver(x.(*Packet))
-		l.startTransmit()
-	}
-	l.handUpArg = func(x any) { l.handUp(x.(*Packet)) }
 	return l
+}
+
+// txDone and handUpArg are the per-packet transmit-complete and hand-up
+// event callbacks. They are package-level functions that find the link
+// through the packet's hop field, so the events schedule with AfterArg and
+// neither a closure per event nor a pair of closures per link is allocated.
+func txDone(x any) {
+	pkt := x.(*Packet)
+	l := pkt.hop
+	l.deliver(pkt)
+	l.startTransmit()
+}
+
+func handUpArg(x any) {
+	pkt := x.(*Packet)
+	pkt.hop.handUp(pkt)
 }
 
 // nameKey hashes a link-direction name (FNV-32a) into a scheduler sort key.
@@ -295,6 +299,9 @@ type RemoteDeliver func(pkt, dup *Packet, arrive, sent time.Duration, seq uint32
 // order); only the final hand-up moves to the receiving side, which performs
 // it by calling DeliverRemote at the packet's arrival time.
 func (l *Link) SetRemoteDeliver(fn RemoteDeliver) { l.remote = fn }
+
+// Name returns the link's name (Config().Name without copying the config).
+func (l *Link) Name() string { return l.cfg.Name }
 
 // Config returns a snapshot of the link configuration. For a link whose
 // parameters were changed mid-run, it reflects the current values; the
@@ -467,9 +474,10 @@ func (l *Link) startTransmit() {
 	txTime := l.cfg.Bandwidth.TransmitTime(pkt.Size)
 	l.stats.BusyTime += txTime
 	l.txDelay = l.cfg.Delay
+	pkt.hop = l
 	// Delivery happens after serialisation plus propagation; the link is
 	// free to serialise the next packet as soon as this one has left.
-	l.sched.AfterArgKind(txTime, simtime.KindPktTransmit, l.txDone, pkt)
+	l.sched.AfterArgKind(txTime, simtime.KindPktTransmit, txDone, pkt)
 }
 
 func (l *Link) deliver(pkt *Packet) {
@@ -527,7 +535,7 @@ func (l *Link) deliver(pkt *Packet) {
 	// from different links order by link identity — the only tie-break that
 	// serial and sharded executions can both compute (see SortKey) — and
 	// sub-sequenced by the delivery number within the direction.
-	l.sched.AfterArgKeyed(delay, l.key, sub, simtime.KindPktDeliver, l.handUpArg, pkt)
+	l.sched.AfterArgKeyed(delay, l.key, sub, simtime.KindPktDeliver, handUpArg, pkt)
 }
 
 // DeliverRemote is the receiving-side half of a cross-scheduler delivery: the
@@ -580,8 +588,9 @@ func NewDuplex(sched *simtime.Scheduler, cfg LinkConfig) *Duplex {
 func NewDuplexOn(fwd, rev *simtime.Scheduler, cfg LinkConfig) *Duplex {
 	fcfg := cfg
 	rcfg := cfg
-	fcfg.Name = cfg.Name + "-fwd"
-	rcfg.Name = cfg.Name + "-rev"
+	// Both direction names share one allocation.
+	names := cfg.Name + "-fwd" + cfg.Name + "-rev"
+	fcfg.Name, rcfg.Name = names[:len(names)/2], names[len(names)/2:]
 	if cfg.Seed != 0 {
 		rcfg.Seed = cfg.Seed + 1
 	}

@@ -126,6 +126,9 @@ type Packet struct {
 	// pooled marks packets obtained from the pool; only those are returned
 	// to it by Release, and the flag doubles as a double-release guard.
 	pooled bool
+	// hop is the link that last started serialising the packet; the link's
+	// transmit-complete and hand-up events find their link through it.
+	hop *Link
 }
 
 // packetPool recycles Packet objects across transmit/deliver cycles so the
@@ -154,6 +157,7 @@ func (p *Packet) Release() {
 	}
 	p.pooled = false
 	p.Payload = nil
+	p.hop = nil
 	packetPool.Put(p)
 }
 

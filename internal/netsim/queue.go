@@ -61,10 +61,11 @@ type QueueStats struct {
 // "unlimited" in that dimension, but at least one limit must be set.
 //
 // The buffer is a ring: enqueue and dequeue are O(1) and allocation-free in
-// steady state. The ring starts at the packet limit or 16 slots, whichever
-// is smaller, and grows by doubling (capped at the packet limit) until the
-// working depth is reached — an idle link in a 100k-host topology costs a
-// few pointers, not its full configured buffer.
+// steady state. The ring is allocated on the first enqueue at the packet
+// limit or 16 slots, whichever is smaller, and grows by doubling (capped at
+// the packet limit) until the working depth is reached — a link that never
+// queues a packet, like most of a 100k-host topology's last-mile links,
+// holds no ring at all.
 type Queue struct {
 	limitPackets int
 	limitBytes   int
@@ -75,7 +76,7 @@ type Queue struct {
 	// packet is marked CE instead of being dropped on overflow.
 	ecnThresholdPackets int
 
-	buf   []*Packet // ring buffer of queued packets
+	buf   []*Packet // ring buffer of queued packets, nil until the first enqueue
 	head  int       // index of the oldest packet
 	count int       // number of queued packets
 	bytes int
@@ -86,24 +87,19 @@ type Queue struct {
 // bytes (zero disables the respective limit). It panics if both limits are
 // zero or either is negative.
 func NewQueue(limitPackets, limitBytes int, policy DropPolicy) *Queue {
+	q := makeQueue(limitPackets, limitBytes, policy)
+	return &q
+}
+
+// makeQueue is NewQueue by value, for owners (links) that embed their queue.
+func makeQueue(limitPackets, limitBytes int, policy DropPolicy) Queue {
 	if limitPackets < 0 || limitBytes < 0 {
 		panic("netsim: negative queue limit")
 	}
 	if limitPackets == 0 && limitBytes == 0 {
 		panic("netsim: queue needs at least one limit")
 	}
-	cap := limitPackets
-	if cap == 0 || cap > 16 {
-		// Unbounded packet count (byte-limited only) or a deep buffer: start
-		// small and grow on demand.
-		cap = 16
-	}
-	return &Queue{
-		limitPackets: limitPackets,
-		limitBytes:   limitBytes,
-		policy:       policy,
-		buf:          make([]*Packet, cap),
-	}
+	return Queue{limitPackets: limitPackets, limitBytes: limitBytes, policy: policy}
 }
 
 // SetECNThreshold enables ECN marking: ECN-capable packets arriving when the
@@ -159,14 +155,21 @@ func (q *Queue) popHead() *Packet {
 	return p
 }
 
-// pushTail appends the packet, growing the ring if it is full. Growth is
-// amortised doubling, capped at the packet limit plus the control-plane
-// reserve for packet-limited queues (wouldOverflow guarantees count never
-// exceeds that).
+// pushTail appends the packet, growing the ring if it is full. The first
+// push allocates the ring at the packet limit or 16 slots, whichever is
+// smaller (16 for a byte-limited queue: start small and grow on demand).
+// Growth is amortised doubling, capped at the packet limit plus the
+// control-plane reserve for packet-limited queues (wouldOverflow guarantees
+// count never exceeds that).
 func (q *Queue) pushTail(p *Packet) {
 	if q.count == len(q.buf) {
 		newCap := 2 * len(q.buf)
-		if q.limitPackets > 0 && newCap > q.limitPackets+RouteReservePackets {
+		if newCap == 0 {
+			newCap = 16
+			if q.limitPackets > 0 && q.limitPackets < newCap {
+				newCap = q.limitPackets
+			}
+		} else if q.limitPackets > 0 && newCap > q.limitPackets+RouteReservePackets {
 			newCap = q.limitPackets + RouteReservePackets
 		}
 		grown := make([]*Packet, newCap)

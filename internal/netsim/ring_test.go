@@ -145,6 +145,33 @@ func TestPooledPacketPathZeroAlloc(t *testing.T) {
 	}
 }
 
+// A queue allocates its ring on the first enqueue, at the packet limit or 16
+// slots, whichever is smaller: a link that never queues a packet — most
+// last-mile links of a large topology — holds no ring at all.
+func TestQueueRingAllocatedOnFirstEnqueue(t *testing.T) {
+	sched := simtime.NewScheduler()
+	l := NewLink(sched, LinkConfig{Bandwidth: 10 * Mbps, QueuePackets: 60}, nil)
+	if l.queue.buf != nil {
+		t.Fatalf("idle link holds a %d-slot ring", len(l.queue.buf))
+	}
+	sched.Run()
+	if l.queue.buf != nil {
+		t.Fatal("running an idle link allocated its ring")
+	}
+	l.Send(pkt(100))
+	if len(l.queue.buf) != 16 {
+		t.Fatalf("first ring has %d slots, want 16", len(l.queue.buf))
+	}
+	q := NewQueue(4, 0, DropTail)
+	if q.buf != nil {
+		t.Fatal("new queue holds a ring")
+	}
+	q.Enqueue(pkt(100))
+	if len(q.buf) != 4 {
+		t.Fatalf("first ring of a 4-packet queue has %d slots, want 4", len(q.buf))
+	}
+}
+
 // Released packets must be reused by NewPacket and arrive zeroed.
 func TestPacketPoolReuseResetsState(t *testing.T) {
 	p := NewPacket()

@@ -74,8 +74,11 @@ type HostStats struct {
 // forwarding enabled doubles as a router: packets arriving for other
 // destinations are relayed hop-by-hop through the routing table.
 type Host struct {
-	name   string
-	sched  *simtime.Scheduler
+	name  string
+	sched *simtime.Scheduler
+	// routes, domains and bindings are created on first write: a transit
+	// router never binds a port, and a leaf's hierarchical table is empty,
+	// so most hosts of an internet-scale topology never allocate them.
 	routes map[string]*netsim.Link
 	// domains routes whole name-suffix subtrees: a packet for "h3.e1.p2"
 	// with no exact route matches the longest dotted suffix present
@@ -104,13 +107,7 @@ func NewHost(name string, sched *simtime.Scheduler) *Host {
 	if name == "" {
 		panic("node: NewHost requires a name")
 	}
-	return &Host{
-		name:     name,
-		sched:    sched,
-		routes:   make(map[string]*netsim.Link),
-		bindings: make(map[bindingKey]Handler),
-		nextPort: 10000,
-	}
+	return &Host{name: name, sched: sched, nextPort: 10000}
 }
 
 // Name returns the host name (its "IP address" in the simulation).
@@ -150,7 +147,7 @@ func (h *Host) AddRoute(dstHost string, link *netsim.Link) {
 	if link == nil {
 		panic("node: AddRoute with nil link")
 	}
-	h.routes[dstHost] = link
+	h.setRoute(dstHost, link)
 }
 
 // SetDefaultRoute sets the link used for destinations with no explicit route.
@@ -162,11 +159,9 @@ func (h *Host) SetDefaultRoute(link *netsim.Link) { h.def = link }
 // which is what lets the dynamics subsystem recompute routes mid-run while
 // packets are in flight. It returns the number of table entries that changed
 // (added, removed or repointed), the per-host measure of a routing event's
-// blast radius. The caller must not retain the map.
+// blast radius. A nil map installs an empty table. The caller must not
+// retain the map.
 func (h *Host) InstallRoutes(routes map[string]*netsim.Link) int {
-	if routes == nil {
-		routes = make(map[string]*netsim.Link)
-	}
 	changed := 0
 	for dst, l := range routes {
 		if old, ok := h.routes[dst]; !ok || old != l {
@@ -198,8 +193,16 @@ func (h *Host) SetRoute(dstHost string, link *netsim.Link) bool {
 	if old, ok := h.routes[dstHost]; ok && old == link {
 		return false
 	}
-	h.routes[dstHost] = link
+	h.setRoute(dstHost, link)
 	return true
+}
+
+// setRoute writes one exact entry, creating the table on first use.
+func (h *Host) setRoute(dstHost string, link *netsim.Link) {
+	if h.routes == nil {
+		h.routes = make(map[string]*netsim.Link)
+	}
+	h.routes[dstHost] = link
 }
 
 // RemoveRoute deletes the explicit route (or reject entry) for dstHost,
@@ -248,9 +251,6 @@ func (h *Host) RemoveDomainRoute(domain string) bool {
 // the maps.
 func (h *Host) InstallHierRoutes(routes, domains map[string]*netsim.Link, def *netsim.Link) int {
 	changed := h.InstallRoutes(routes)
-	if domains == nil {
-		domains = make(map[string]*netsim.Link)
-	}
 	for d, l := range domains {
 		if old, ok := h.domains[d]; !ok || old != l {
 			changed++
@@ -317,6 +317,9 @@ func (h *Host) bind(k bindingKey, handler Handler) error {
 	}
 	if _, ok := h.bindings[k]; ok {
 		return fmt.Errorf("node: %s port %d already bound on %s", k.proto, k.localPort, h.name)
+	}
+	if h.bindings == nil {
+		h.bindings = make(map[bindingKey]Handler)
 	}
 	h.bindings[k] = handler
 	return nil
@@ -458,6 +461,19 @@ func NewShardedNetwork(schedFor func(host string) *simtime.Scheduler) *Network {
 	return &Network{schedFor: schedFor, hosts: make(map[string]*Host)}
 }
 
+// Reserve sizes the host registry for at least hosts entries, so a caller
+// about to create a large topology pays for no incremental map growth.
+func (n *Network) Reserve(hosts int) {
+	if hosts <= len(n.hosts) {
+		return
+	}
+	m := make(map[string]*Host, hosts)
+	for name, h := range n.hosts {
+		m[name] = h
+	}
+	n.hosts = m
+}
+
 // Scheduler returns the shared scheduler, or nil for a sharded network.
 func (n *Network) Scheduler() *simtime.Scheduler { return n.sched }
 
@@ -518,12 +534,21 @@ func (n *Network) Rename(old, newName string) *Host {
 // can inspect per-direction statistics or install taps.
 func (n *Network) ConnectDuplex(a, b string, cfg netsim.LinkConfig) *netsim.Duplex {
 	ha, hb := n.Host(a), n.Host(b)
-	if cfg.Name == "" {
-		cfg.Name = a + "<->" + b
-	}
-	d := netsim.NewDuplexOn(ha.Clock(), hb.Clock(), cfg)
-	d.Connect(ha, hb)
+	d := Connect(ha, hb, cfg)
 	ha.AddRoute(b, d.Forward)
 	hb.AddRoute(a, d.Reverse)
+	return d
+}
+
+// Connect joins hosts a and b with a duplex link built from cfg (named
+// "a<->b" when cfg.Name is empty), each direction on its transmitting host's
+// scheduler. Unlike ConnectDuplex it installs no routes, for callers that
+// install every table themselves afterwards.
+func Connect(a, b *Host, cfg netsim.LinkConfig) *netsim.Duplex {
+	if cfg.Name == "" {
+		cfg.Name = a.name + "<->" + b.name
+	}
+	d := netsim.NewDuplexOn(a.Clock(), b.Clock(), cfg)
+	d.Connect(a, b)
 	return d
 }

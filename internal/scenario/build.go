@@ -98,17 +98,23 @@ func Build(spec Spec) (*Sim, error) {
 	sim := &Sim{Spec: spec, cms: make(map[string]*cm.CM)}
 
 	// Node order is the first mention in Links; it is needed up front because
-	// a sharded build must know every host's shard before creating it.
-	seen := make(map[string]bool)
-	addNode := func(name string) {
-		if !seen[name] {
-			seen[name] = true
-			sim.nodeNames = append(sim.nodeNames, name)
+	// a sharded build must know every host's shard before creating it. id
+	// interns each name to its index in nodeNames (both sized for a tree,
+	// where nodes number one more than links); ends holds each link's
+	// endpoint ids, A at 2i and B at 2i+1.
+	id := make(map[string]int32, len(spec.Links)+1)
+	sim.nodeNames = make([]string, 0, len(spec.Links)+1)
+	ends := make([]int32, 2*len(spec.Links))
+	for i, ls := range spec.Links {
+		for j, name := range [2]string{ls.A, ls.B} {
+			v, ok := id[name]
+			if !ok {
+				v = int32(len(sim.nodeNames))
+				id[name] = v
+				sim.nodeNames = append(sim.nodeNames, name)
+			}
+			ends[2*i+j] = v
 		}
-	}
-	for _, ls := range spec.Links {
-		addNode(ls.A)
-		addNode(ls.B)
 	}
 
 	// Sharded execution needs at least two shards after partitioning and a
@@ -129,65 +135,51 @@ func Build(spec Spec) (*Sim, error) {
 		nw = node.NewNetwork(sim.sched)
 	}
 	sim.net = nw
+	nw.Reserve(len(sim.nodeNames))
 	for _, r := range spec.Routers {
 		nw.Router(r)
 	}
-	// Directional edges accumulate in insertion order for the route engine's
-	// interned adjacency. Parallel links between a pair would make next-hop
-	// routing ambiguous, so duplicates are rejected.
-	id := make(map[string]int, len(sim.nodeNames))
+	hosts := make([]*node.Host, len(sim.nodeNames))
 	for i, name := range sim.nodeNames {
-		id[name] = i
-	}
-	edges := make([]dirEdge, 0, 2*len(spec.Links))
-	wired := make(map[[2]int32]bool, 2*len(spec.Links))
-	direction := func(from, to string, l *netsim.Link) error {
-		f, t := int32(id[from]), int32(id[to])
-		if wired[[2]int32{f, t}] {
-			return fmt.Errorf("scenario %q: duplicate link %s-%s", spec.Name, from, to)
+		hosts[i] = nw.Host(name)
+		if sim.shard != nil {
+			hosts[i].SetOwnershipCheck(sim.shard.ownerCheck(sim.shard.plan.shardOf[name]))
 		}
-		wired[[2]int32{f, t}] = true
-		edges = append(edges, dirEdge{from: f, to: t, link: l})
-		return nil
 	}
 	// Links with Seed zero get derived seeds. Each duplex consumes two seeds
 	// (NewDuplex uses Seed and Seed+1); derived pairs skip over any seed an
 	// explicitly seeded link already claimed, so no two links ever share a
-	// random stream.
-	usedSeeds := make(map[int64]bool)
+	// random stream. Derived seeds only grow, so they cannot collide with one
+	// another and only the explicit ones need remembering.
+	var explicitSeeds map[int64]bool
 	for _, ls := range spec.Links {
 		if ls.Seed != 0 {
-			usedSeeds[ls.Seed] = true
-			usedSeeds[ls.Seed+1] = true
+			if explicitSeeds == nil {
+				explicitSeeds = make(map[int64]bool)
+			}
+			explicitSeeds[ls.Seed] = true
+			explicitSeeds[ls.Seed+1] = true
 		}
 	}
 	nextSeed := spec.Seed
-	deriveSeed := func() int64 {
-		for usedSeeds[nextSeed] || usedSeeds[nextSeed+1] {
-			nextSeed++
-		}
-		s := nextSeed
-		usedSeeds[s] = true
-		usedSeeds[s+1] = true
-		nextSeed += 2
-		return s
-	}
-	for _, ls := range spec.Links {
+	// Directional edges accumulate in insertion order for the route engine's
+	// interned adjacency (which also rejects parallel links). Every table is
+	// installed by the engine, so links are wired without routes.
+	edges := make([]dirEdge, 0, 2*len(spec.Links))
+	sim.duplexes = make([]*netsim.Duplex, 0, len(spec.Links))
+	for i, ls := range spec.Links {
 		cfg := ls.LinkConfig
-		if cfg.Name == "" {
-			cfg.Name = ls.A + "<->" + ls.B
-		}
 		if cfg.Seed == 0 {
-			cfg.Seed = deriveSeed()
+			for explicitSeeds[nextSeed] || explicitSeeds[nextSeed+1] {
+				nextSeed++
+			}
+			cfg.Seed = nextSeed
+			nextSeed += 2
 		}
-		d := nw.ConnectDuplex(ls.A, ls.B, cfg)
+		a, b := ends[2*i], ends[2*i+1]
+		d := node.Connect(hosts[a], hosts[b], cfg)
 		sim.duplexes = append(sim.duplexes, d)
-		if err := direction(ls.A, ls.B, d.Forward); err != nil {
-			return nil, err
-		}
-		if err := direction(ls.B, ls.A, d.Reverse); err != nil {
-			return nil, err
-		}
+		edges = append(edges, dirEdge{from: a, to: b, link: d.Forward}, dirEdge{from: b, to: a, link: d.Reverse})
 		if sim.shard != nil {
 			sa, sb := sim.shard.plan.shardOf[ls.A], sim.shard.plan.shardOf[ls.B]
 			if sa != sb {
@@ -196,17 +188,8 @@ func Build(spec Spec) (*Sim, error) {
 			}
 		}
 	}
-	if sim.shard != nil {
-		for _, name := range sim.nodeNames {
-			nw.Host(name).SetOwnershipCheck(sim.shard.ownerCheck(sim.shard.plan.shardOf[name]))
-		}
-	}
 
-	hosts := make([]*node.Host, len(sim.nodeNames))
-	for i, name := range sim.nodeNames {
-		hosts[i] = nw.Host(name)
-	}
-	eng, err := newRouteEngine(&sim.Spec, sim.nodeNames, hosts, edges)
+	eng, err := newRouteEngine(&sim.Spec, sim.nodeNames, id, hosts, edges)
 	if err != nil {
 		return nil, err
 	}

@@ -4,41 +4,63 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+	"time"
 )
-
-// batch returns a mixed workload: every registered scenario twice, so the
-// parallel runner interleaves different simulations on shared workers.
-func batch(t *testing.T) []Spec {
-	t.Helper()
-	var specs []Spec
-	for _, name := range List() {
-		spec, err := Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		specs = append(specs, spec, spec)
-	}
-	return specs
-}
 
 // TestSerialAndParallelRunsAreByteIdentical is the determinism acceptance
 // check: each simulation owns its scheduler and seeded random sources, so a
 // batch fanned across 8 workers must produce exactly the results of a serial
-// run — compared both structurally and on the JSON wire encoding.
+// run — compared both structurally and on the JSON wire encoding. Every
+// registered scenario is a parallel subtest running its spec twice on each
+// runner, so different simulations also interleave on the test's own
+// workers; the "mixed" subtest hands one runner a batch of different
+// scenarios and lengths, so results must come back in spec order however
+// the workers finish.
 func TestSerialAndParallelRunsAreByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every registered scenario twice, twice over")
 	}
-	serial := Runner{Parallel: 1}.RunAll(batch(t))
-	parallel := Runner{Parallel: 8}.RunAll(batch(t))
+	lookup := func(t *testing.T, name string) Spec {
+		t.Helper()
+		spec, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return spec
+	}
+	for _, name := range List() {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			spec := lookup(t, name)
+			compareRunners(t, name, []Spec{spec, spec})
+		})
+	}
+	t.Run("mixed", func(t *testing.T) {
+		t.Parallel()
+		var specs []Spec
+		for i, name := range []string{"dumbbell", "p2p", "star", "parkinglot"} {
+			spec := lookup(t, name)
+			short := spec
+			short.Duration = spec.Duration / time.Duration(i+2)
+			specs = append(specs, spec, short)
+		}
+		compareRunners(t, "mixed", specs)
+	})
+}
 
+// compareRunners runs specs on a serial and an 8-worker runner and fails,
+// naming the case, unless both return the same outcomes in the same order.
+func compareRunners(t *testing.T, name string, specs []Spec) {
+	t.Helper()
+	serial := Runner{Parallel: 1}.RunAll(specs)
+	parallel := Runner{Parallel: 8}.RunAll(specs)
 	for i := range serial {
 		if serial[i].Err != "" || parallel[i].Err != "" {
-			t.Fatalf("outcome %d errored: serial=%q parallel=%q", i, serial[i].Err, parallel[i].Err)
+			t.Fatalf("%s: outcome %d errored: serial=%q parallel=%q", name, i, serial[i].Err, parallel[i].Err)
 		}
 	}
 	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatal("serial and parallel result structs differ")
+		t.Fatalf("%s: serial and parallel result structs differ", name)
 	}
 	sj, err := json.Marshal(serial)
 	if err != nil {
@@ -49,7 +71,7 @@ func TestSerialAndParallelRunsAreByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(sj) != string(pj) {
-		t.Fatal("serial and parallel JSON encodings differ")
+		t.Fatalf("%s: serial and parallel JSON encodings differ", name)
 	}
 }
 

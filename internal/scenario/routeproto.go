@@ -28,6 +28,7 @@
 package scenario
 
 import (
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dynamics"
@@ -59,11 +60,12 @@ type protoPlane struct {
 
 	// totalChanged accumulates every forwarding-table change the plane
 	// applied (agent installs, local hier repairs); topologyChanged reports
-	// deltas of it, matching the oracle's changed-entry accounting.
+	// deltas of it, matching the oracle's changed-entry accounting. Agents
+	// on different shard workers install concurrently, so it is atomic.
 	// installChanged is its value right after the initial installation, so
 	// RoutingResult.TableChanges reports only post-install churn.
-	totalChanged   int
-	installChanged int
+	totalChanged   atomic.Int64
+	installChanged int64
 	installed      bool
 
 	// Convergence bookkeeping (armed at Start, sampled at a run barrier).
@@ -130,10 +132,10 @@ func (pp *protoPlane) installFunc(v int32) routeproto.InstallFunc {
 		return func(dest string, l *netsim.Link, metric int) {
 			if l == nil {
 				if h.RemoveRoute(dest) {
-					pp.totalChanged++
+					pp.totalChanged.Add(1)
 				}
 			} else if h.SetRoute(dest, l) {
-				pp.totalChanged++
+				pp.totalChanged.Add(1)
 			}
 		}
 	}
@@ -144,10 +146,10 @@ func (pp *protoPlane) installFunc(v int32) routeproto.InstallFunc {
 		}
 		if l == nil {
 			if h.RemoveDomainRoute(dest) {
-				pp.totalChanged++
+				pp.totalChanged.Add(1)
 			}
 		} else if h.SetDomainRoute(dest, l) {
-			pp.totalChanged++
+			pp.totalChanged.Add(1)
 		}
 	}
 }
@@ -245,7 +247,7 @@ func (pp *protoPlane) seedHier() {
 // arms flip detection.
 func (pp *protoPlane) install() int {
 	e := pp.eng
-	before := pp.totalChanged
+	before := pp.totalChanged.Load()
 	if e.hier {
 		for v := int32(0); v < int32(e.n); v++ {
 			pp.hierLocal(v)
@@ -255,7 +257,7 @@ func (pp *protoPlane) install() int {
 				continue
 			}
 			if e.hosts[v].SetDomainRoute(e.domains[v], nil) {
-				pp.totalChanged++
+				pp.totalChanged.Add(1)
 			}
 		}
 	}
@@ -269,8 +271,8 @@ func (pp *protoPlane) install() int {
 		}
 	}
 	e.syncMirror()
-	pp.installChanged = pp.totalChanged
-	return pp.totalChanged - before
+	pp.installChanged = pp.totalChanged.Load()
+	return int(pp.totalChanged.Load() - before)
 }
 
 // topologyChanged is the protocol-mode recomputeRoutes: instead of a global
@@ -290,7 +292,7 @@ func (pp *protoPlane) topologyChanged() int {
 	if len(flips) == 0 {
 		return 0
 	}
-	before := pp.totalChanged
+	before := pp.totalChanged.Load()
 	if e.hier {
 		for i, k := range flips {
 			u := e.adjFrom[k]
@@ -311,7 +313,7 @@ func (pp *protoPlane) topologyChanged() int {
 			pp.agents[e.adjFrom[k]].LinkState(int(j), !e.downMirror[k])
 		}
 	}
-	return pp.totalChanged - before
+	return int(pp.totalChanged.Load() - before)
 }
 
 // hierLocal rebuilds the locally-derivable part of node u's hier table: an
@@ -320,7 +322,7 @@ func (pp *protoPlane) topologyChanged() int {
 func (pp *protoPlane) hierLocal(u int32) {
 	e := pp.eng
 	lv := e.level[u]
-	routes := make(map[string]*netsim.Link)
+	var routes map[string]*netsim.Link // nil until the first child entry
 	var def *netsim.Link
 	up := e.queue[:0]
 	for k := e.adjOff[u]; k < e.adjOff[u+1]; k++ {
@@ -331,6 +333,9 @@ func (pp *protoPlane) hierLocal(u int32) {
 		}
 		if e.adjLink[k].IsDown() {
 			continue
+		}
+		if routes == nil {
+			routes = make(map[string]*netsim.Link, e.adjOff[u+1]-k)
 		}
 		routes[e.names[v]] = e.adjLink[k]
 	}
@@ -345,11 +350,11 @@ func (pp *protoPlane) hierLocal(u int32) {
 		}
 	}
 	e.queue = up[:0]
-	pp.totalChanged += e.hosts[u].InstallRoutes(routes)
+	pp.totalChanged.Add(int64(e.hosts[u].InstallRoutes(routes)))
 	if pp.defMirror[u] != def {
 		pp.defMirror[u] = def
 		e.hosts[u].SetDefaultRoute(def)
-		pp.totalChanged++
+		pp.totalChanged.Add(1)
 	}
 }
 
@@ -611,7 +616,7 @@ type RoutingResult struct {
 // be called mid-run for snapshots).
 func (pp *protoPlane) result() *RoutingResult {
 	e := pp.eng
-	rr := &RoutingResult{Mode: RoutingExact, TableChanges: pp.totalChanged - pp.installChanged}
+	rr := &RoutingResult{Mode: RoutingExact, TableChanges: int(pp.totalChanged.Load() - pp.installChanged)}
 	if e.hier {
 		rr.Mode = RoutingHier
 	}

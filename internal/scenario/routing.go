@@ -81,9 +81,10 @@ type dirEdge struct {
 }
 
 // newRouteEngine interns the topology. Nodes and edges arrive in
-// first-mention order (the order the old map-based router iterated in);
-// hierRoots/domainOf are empty for exact mode.
-func newRouteEngine(spec *Spec, names []string, hosts []*node.Host, edges []dirEdge) (*routeEngine, error) {
+// first-mention order (the order the old map-based router iterated in); id
+// maps each name to its index in names. Parallel links between a pair would
+// make next-hop routing ambiguous, so duplicate edges are rejected.
+func newRouteEngine(spec *Spec, names []string, id map[string]int32, hosts []*node.Host, edges []dirEdge) (*routeEngine, error) {
 	n := len(names)
 	e := &routeEngine{
 		n:        n,
@@ -116,15 +117,14 @@ func newRouteEngine(spec *Spec, names []string, hosts []*node.Host, edges []dirE
 		e.adjTo[k] = ed.to
 		e.adjLink[k] = ed.link
 	}
+	if err := e.checkDuplicates(spec); err != nil {
+		return nil, err
+	}
 	e.downMirror = make([]bool, len(edges))
 	for i := range hosts {
 		e.isRouter[i] = hosts[i].Forwarding()
 	}
 	if e.hier {
-		id := make(map[string]int, n)
-		for i, name := range names {
-			id[name] = i
-		}
 		e.domains = make([]string, n)
 		for i, name := range names {
 			if d, ok := spec.Domains[name]; ok {
@@ -142,11 +142,31 @@ func newRouteEngine(spec *Spec, names []string, hosts []*node.Host, edges []dirE
 	return e, nil
 }
 
+// checkDuplicates rejects two edges with the same direction between one pair
+// of nodes. Each node's adjacency is scanned with a per-target stamp (the
+// firstHop scratch, before any BFS uses it), so the check costs no map.
+func (e *routeEngine) checkDuplicates(spec *Spec) error {
+	stamp := e.firstHop
+	for i := range stamp {
+		stamp[i] = -1
+	}
+	for u := int32(0); u < int32(e.n); u++ {
+		for k := e.adjOff[u]; k < e.adjOff[u+1]; k++ {
+			v := e.adjTo[k]
+			if stamp[v] == u {
+				return fmt.Errorf("scenario %q: duplicate link %s-%s", spec.Name, e.names[u], e.names[v])
+			}
+			stamp[v] = u
+		}
+	}
+	return nil
+}
+
 // computeLevels runs the multi-source BFS from the hierarchy roots over the
 // static topology (down links still count: an outage changes reachability,
 // not the shape of the hierarchy) and checks the tree-likeness hier routing
 // relies on: every node is placed, and every link joins adjacent levels.
-func (e *routeEngine) computeLevels(spec *Spec, id map[string]int) error {
+func (e *routeEngine) computeLevels(spec *Spec, id map[string]int32) error {
 	e.level = make([]int32, e.n)
 	for i := range e.level {
 		e.level[i] = -1
@@ -162,7 +182,7 @@ func (e *routeEngine) computeLevels(spec *Spec, id map[string]int) error {
 		}
 		if e.level[v] != 0 {
 			e.level[v] = 0
-			q = append(q, int32(v))
+			q = append(q, v)
 		}
 	}
 	if len(q) == 0 {
@@ -381,8 +401,9 @@ func (e *routeEngine) bfs(src int32, dist []int32) {
 // incremental path O(flipped links).
 func (e *routeEngine) installHierNode(u int32) int {
 	lv := e.level[u]
-	routes := make(map[string]*netsim.Link)
-	var domains map[string]*netsim.Link
+	// Both tables stay nil until the first entry (a leaf has none); the
+	// exact table is sized for the node's remaining adjacency.
+	var routes, domains map[string]*netsim.Link
 	var def *netsim.Link
 	up := e.queue[:0] // borrow the BFS scratch for the up-slot list
 	for k := e.adjOff[u]; k < e.adjOff[u+1]; k++ {
@@ -393,6 +414,9 @@ func (e *routeEngine) installHierNode(u int32) int {
 		}
 		if e.adjLink[k].IsDown() {
 			continue
+		}
+		if routes == nil {
+			routes = make(map[string]*netsim.Link, e.adjOff[u+1]-k)
 		}
 		routes[e.names[v]] = e.adjLink[k]
 		if e.isRouter[v] {

@@ -348,9 +348,19 @@ func (s *Sim) startUDPFlow(w *Workload, d *flowDriver, port int) error {
 	return nil
 }
 
-// collect freezes the simulation state into a Result.
+// collect freezes the simulation state into a Result. Every per-entity
+// slice is allocated once at its final length: on an internet-scale
+// topology, growing Links and Hosts by append costs several times their
+// final size in garbage.
 func (s *Sim) collect(drivers []*flowDriver) *Result {
-	res := &Result{Scenario: s.Spec.Name, EndTime: s.now()}
+	res := &Result{
+		Scenario: s.Spec.Name,
+		EndTime:  s.now(),
+		Flows:    presized[FlowResult](len(drivers)),
+		Links:    presized[LinkResult](2 * len(s.duplexes)),
+		Hosts:    presized[HostResult](len(s.nodeNames)),
+		CMs:      presized[CMResult](len(s.cmHosts)),
+	}
 	for _, d := range drivers {
 		fr := *d.res
 		if d.udpFinish != nil {
@@ -388,16 +398,16 @@ func (s *Sim) collect(drivers []*flowDriver) *Result {
 		res.Flows = append(res.Flows, fr)
 	}
 	for _, d := range s.duplexes {
-		for _, l := range []*netsim.Link{d.Forward, d.Reverse} {
+		for _, l := range [2]*netsim.Link{d.Forward, d.Reverse} {
 			res.Links = append(res.Links, LinkResult{
-				Name:      l.Config().Name,
+				Name:      l.Name(),
 				LinkStats: l.Stats(),
 				ECNMarked: l.QueueStats().ECNMarked,
 			})
 		}
 	}
-	for _, name := range s.nodeNames {
-		h := s.net.Host(name)
+	for i, name := range s.nodeNames {
+		h := s.routing.hosts[i]
 		res.Hosts = append(res.Hosts, HostResult{Name: name, Router: h.Forwarding(), HostStats: h.Stats()})
 	}
 	for _, host := range s.cmHosts {
@@ -430,4 +440,13 @@ func (s *Sim) collect(drivers []*flowDriver) *Result {
 		res.Routing = s.proto.result()
 	}
 	return res
+}
+
+// presized returns an empty slice with capacity n, or nil when n is zero so
+// an empty Result field still encodes as it always has (JSON null).
+func presized[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, n)
 }

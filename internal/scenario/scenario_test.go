@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -48,6 +49,48 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsBadLinkParameters: every out-of-range link parameter is
+// a spec error naming the field — Build returns it instead of panicking
+// (a negative queue limit used to panic inside the queue constructor) — and
+// the boundary values stay legal.
+func TestValidateRejectsBadLinkParameters(t *testing.T) {
+	spec := func(mutate func(*netsim.LinkConfig)) Spec {
+		s := Spec{
+			Name:      "t",
+			Links:     []LinkSpec{{A: "a", B: "b"}},
+			Workloads: []Workload{{From: "a", To: "b"}},
+		}
+		mutate(&s.Links[0].LinkConfig)
+		return s
+	}
+	for _, tc := range []struct {
+		field  string
+		mutate func(*netsim.LinkConfig)
+	}{
+		{"bandwidth", func(c *netsim.LinkConfig) { c.Bandwidth = -1 }},
+		{"delay", func(c *netsim.LinkConfig) { c.Delay = -time.Millisecond }},
+		{"queue_packets", func(c *netsim.LinkConfig) { c.QueuePackets = -1 }},
+		{"queue_bytes", func(c *netsim.LinkConfig) { c.QueueBytes = -1 }},
+		{"loss_rate", func(c *netsim.LinkConfig) { c.LossRate = -0.1 }},
+		{"loss_rate", func(c *netsim.LinkConfig) { c.LossRate = 1.5 }},
+		{"loss_rate", func(c *netsim.LinkConfig) { c.LossRate = math.NaN() }},
+		{"reorder_rate", func(c *netsim.LinkConfig) { c.ReorderRate = -1 }},
+		{"reorder_rate", func(c *netsim.LinkConfig) { c.ReorderRate = 2 }},
+		{"duplicate_rate", func(c *netsim.LinkConfig) { c.DuplicateRate = -0.5 }},
+		{"duplicate_rate", func(c *netsim.LinkConfig) { c.DuplicateRate = 1.01 }},
+	} {
+		_, err := Build(spec(tc.mutate))
+		if err == nil || !strings.Contains(err.Error(), tc.field) || !strings.Contains(err.Error(), "link 0") {
+			t.Errorf("bad %s: Build error %v, want one naming link 0 and the field", tc.field, err)
+		}
+	}
+	if _, err := Build(spec(func(c *netsim.LinkConfig) {
+		c.LossRate, c.ReorderRate, c.DuplicateRate = 1, 1, 1
+	})); err != nil {
+		t.Errorf("rates of exactly 1 rejected: %v", err)
+	}
+}
+
 func TestBuildRejectsDuplicateLinks(t *testing.T) {
 	_, err := Build(Spec{
 		Name: "dup",
@@ -56,7 +99,7 @@ func TestBuildRejectsDuplicateLinks(t *testing.T) {
 			{A: "b", B: "a"},
 		},
 	})
-	if err == nil || !strings.Contains(err.Error(), "duplicate link") {
+	if err == nil || !strings.Contains(err.Error(), "duplicate link a-b") {
 		t.Fatalf("expected duplicate-link error, got %v", err)
 	}
 }

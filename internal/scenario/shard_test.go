@@ -20,16 +20,17 @@ import (
 // the per-event-kind profiler armed, proving wall-clock attribution never
 // perturbs simulation state; the Perf block (execution telemetry, by design
 // different per run) is asserted populated and then stripped before the
-// comparison.
+// comparison. Each scenario is a parallel subtest.
 func TestShardedRunsAreByteIdentical(t *testing.T) {
-	runProfiled := func(spec Spec) (*Result, error) {
+	runProfiled := func(t *testing.T, spec Spec) *Result {
+		t.Helper()
 		sim, err := Build(spec)
 		if err != nil {
-			return nil, err
+			t.Fatalf("%s (shards %d): %v", spec.Name, spec.Shards, err)
 		}
 		sim.EnableProfiling()
 		if err := sim.Start(); err != nil {
-			return nil, err
+			t.Fatalf("%s (shards %d): %v", spec.Name, spec.Shards, err)
 		}
 		sim.RunToEnd()
 		res := sim.Finish()
@@ -37,7 +38,7 @@ func TestShardedRunsAreByteIdentical(t *testing.T) {
 			t.Fatalf("%s: profiled run produced no Perf attribution: %+v", spec.Name, res.Perf)
 		}
 		res.Perf = nil
-		return res, nil
+		return res
 	}
 	// fattree is the residual-tie torture case: its cross-pod streams dial in
 	// nanosecond lockstep and collide at the cores at shared instants, which
@@ -48,79 +49,87 @@ func TestShardedRunsAreByteIdentical(t *testing.T) {
 		scenarios = append(scenarios, "wireless", "parkinglot")
 	}
 	for _, name := range scenarios {
-		spec, err := Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Long enough to cross every scheduled dynamics event, short enough
-		// to keep the whole matrix quick.
-		spec.Duration = 3 * time.Second
-		if name == "flaky-dumbbell" {
-			spec.Duration = 12 * time.Second // past the outage and recovery
-		}
-		if name == "churn" {
-			// Past the host move (2s), its re-attach and a few CM restarts,
-			// with notify faults injecting throughout.
-			spec.Duration = 6 * time.Second
-		}
-		if name == "routeflap" {
-			// Past the flap (1s down, 3s up) with the control plane active and
-			// control-plane faults injecting — the distance-vector messages
-			// must serialise identically across shard counts.
-			spec.Duration = 4 * time.Second
-		}
-		if name == "grid" {
-			// Drop the cross-cluster start stagger: every transfer dials at
-			// t=0 in lockstep, so symmetric same-instant deliveries from
-			// different source shards hit shared routers — the hardest
-			// tie-breaking case for the injection order (see drain()).
-			for i := range spec.Workloads {
-				spec.Workloads[i].Start = 0
-			}
-		}
-		// Observability must be observation-only: identical results with
-		// probes sampling mid-run and the flight recorder armed. The link
-		// probes split across the field-ownership boundary (queue depth on
-		// the sending shard, delivered bytes on the receiving one), and the
-		// host probe rides the first workload's source host.
-		spec.Probes = []probe.Spec{
-			{Target: "link[0].queue_depth"},
-			{Target: "link[0].delivered_bytes"},
-			{Target: "host[" + spec.Workloads[0].From + "].sent_bytes"},
-		}
-		for _, w := range spec.Workloads {
-			if w.CC == CCCM {
-				spec.Probes = append(spec.Probes, probe.Spec{Target: "cm[" + w.From + "].cwnd"})
-				break
-			}
-		}
-		spec.TraceDepth = 256
-		serial, err := runProfiled(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sj, err := json.Marshal(serial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range []int{2, 4, 8} {
-			sp := spec
-			sp.Shards = k
-			sharded, err := runProfiled(sp)
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			spec, err := Lookup(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(serial, sharded) {
-				t.Errorf("%s: serial and %d-shard result structs differ", name, k)
+			// Long enough to cross every scheduled dynamics event, short
+			// enough to keep the whole matrix quick.
+			spec.Duration = 3 * time.Second
+			if name == "flaky-dumbbell" {
+				spec.Duration = 12 * time.Second // past the outage and recovery
 			}
-			kj, err := json.Marshal(sharded)
+			if name == "churn" {
+				// Past the host move (2s), its re-attach and a few CM
+				// restarts, with notify faults injecting throughout.
+				spec.Duration = 6 * time.Second
+			}
+			if name == "routeflap" {
+				// Past the flap (1s down, 3s up) with the control plane
+				// active and control-plane faults injecting — the
+				// distance-vector messages must serialise identically across
+				// shard counts.
+				spec.Duration = 4 * time.Second
+			}
+			if name == "grid" {
+				// Drop the cross-cluster start stagger: every transfer dials
+				// at t=0 in lockstep, so symmetric same-instant deliveries
+				// from different source shards hit shared routers — the
+				// hardest tie-breaking case for the injection order (see
+				// drain()).
+				for i := range spec.Workloads {
+					spec.Workloads[i].Start = 0
+				}
+			}
+			// Observability must be observation-only: identical results with
+			// probes sampling mid-run and the flight recorder armed. The link
+			// probes split across the field-ownership boundary (queue depth
+			// on the sending shard, delivered bytes on the receiving one),
+			// and the host probe rides the first workload's source host.
+			spec.Probes = []probe.Spec{
+				{Target: "link[0].queue_depth"},
+				{Target: "link[0].delivered_bytes"},
+				{Target: "host[" + spec.Workloads[0].From + "].sent_bytes"},
+			}
+			for _, w := range spec.Workloads {
+				if w.CC == CCCM {
+					spec.Probes = append(spec.Probes, probe.Spec{Target: "cm[" + w.From + "].cwnd"})
+					break
+				}
+			}
+			spec.TraceDepth = 256
+			serial := runProfiled(t, spec)
+			if name == "routeflap" && (serial.Routing == nil || serial.Routing.TableChanges == 0) {
+				t.Fatalf("%s: serial run reports no table changes: %+v", name, serial.Routing)
+			}
+			sj, err := json.Marshal(serial)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if string(sj) != string(kj) {
-				t.Errorf("%s: serial and %d-shard JSON encodings differ", name, k)
+			for _, k := range []int{2, 4, 8} {
+				sp := spec
+				sp.Shards = k
+				sharded := runProfiled(t, sp)
+				// Agents on different shard workers install routes
+				// concurrently; a lost update to the shared table-change
+				// counter once made a sharded run report one change fewer.
+				if serial.Routing != nil && sharded.Routing.TableChanges != serial.Routing.TableChanges {
+					t.Errorf("%s: %d-shard TableChanges = %d, serial = %d", name, k, sharded.Routing.TableChanges, serial.Routing.TableChanges)
+				}
+				if !reflect.DeepEqual(serial, sharded) {
+					t.Errorf("%s: serial and %d-shard result structs differ", name, k)
+				}
+				kj, err := json.Marshal(sharded)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(sj) != string(kj) {
+					t.Errorf("%s: serial and %d-shard JSON encodings differ", name, k)
+				}
 			}
-		}
+		})
 	}
 }
 

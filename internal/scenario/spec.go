@@ -65,8 +65,8 @@ func udpKind(kind string) bool { return kind == KindUDPRate || kind == KindUDPAL
 // a zero Seed is replaced by a deterministic per-link seed derived from the
 // spec seed so results stay reproducible without hand-numbering every link.
 type LinkSpec struct {
-	// A and B are the endpoint node names. ConnectDuplex wires A->B as the
-	// forward direction.
+	// A and B are the endpoint node names. Build wires A->B as the forward
+	// direction.
 	A string `json:"a"`
 	B string `json:"b"`
 	netsim.LinkConfig
@@ -298,6 +298,29 @@ func (s *Spec) fillDefaults() {
 	}
 }
 
+// validateLinkConfig rejects link parameters the simulator cannot honour:
+// negative rates, delays or buffer limits, and probabilities outside [0,1].
+// (A negative queue limit would otherwise panic inside Build.)
+func validateLinkConfig(c *netsim.LinkConfig) error {
+	switch {
+	case c.Bandwidth < 0:
+		return fmt.Errorf("negative bandwidth %v", float64(c.Bandwidth))
+	case c.Delay < 0:
+		return fmt.Errorf("negative delay %v", c.Delay)
+	case c.QueuePackets < 0:
+		return fmt.Errorf("negative queue_packets %d", c.QueuePackets)
+	case c.QueueBytes < 0:
+		return fmt.Errorf("negative queue_bytes %d", c.QueueBytes)
+	case !(c.LossRate >= 0 && c.LossRate <= 1):
+		return fmt.Errorf("loss_rate %v outside [0,1]", c.LossRate)
+	case !(c.ReorderRate >= 0 && c.ReorderRate <= 1):
+		return fmt.Errorf("reorder_rate %v outside [0,1]", c.ReorderRate)
+	case !(c.DuplicateRate >= 0 && c.DuplicateRate <= 1):
+		return fmt.Errorf("duplicate_rate %v outside [0,1]", c.DuplicateRate)
+	}
+	return nil
+}
+
 // Validate checks the spec for structural errors: empty topology, links or
 // workloads referring to unknown nodes, unknown workload kinds or congestion
 // controllers, and workloads sourced at routers (routers carry transit
@@ -306,10 +329,13 @@ func (s *Spec) Validate() error {
 	if len(s.Links) == 0 {
 		return fmt.Errorf("scenario %q: no links", s.Name)
 	}
-	nodes := make(map[string]bool)
+	nodes := make(map[string]bool, len(s.Links)+1)
 	for i, l := range s.Links {
 		if l.A == "" || l.B == "" || l.A == l.B {
 			return fmt.Errorf("scenario %q: link %d endpoints %q-%q invalid", s.Name, i, l.A, l.B)
+		}
+		if err := validateLinkConfig(&l.LinkConfig); err != nil {
+			return fmt.Errorf("scenario %q: link %d (%s-%s): %w", s.Name, i, l.A, l.B, err)
 		}
 		nodes[l.A] = true
 		nodes[l.B] = true
