@@ -7,8 +7,11 @@ GO ?= go
 
 ci: vet build race bench
 
+# vet also fails when any Go file in the tree is not gofmt-formatted.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: these files need gofmt -w:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...

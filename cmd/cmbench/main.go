@@ -42,15 +42,15 @@ func run() int {
 	var (
 		which = flag.String("experiment", "all",
 			"experiment to run: all, fig3, fig4, fig5, fig6, table1, fig7, fig8, fig9, fig10, setup, fairness, ablations, failure, perf")
-		quick   = flag.Bool("quick", false, "use reduced sweeps so the whole run finishes quickly")
-		csv     = flag.Bool("csv", false, "print adaptation traces (fig8-10, failure) as CSV")
-		perfOut = flag.String("perfout", "BENCH_1.json", "output path for the perf snapshot written by -experiment perf")
-		perfPR  = flag.Int("pr", 1, "PR number stamped into the perf snapshot")
-		compare = flag.String("compare", "", "older BENCH_*.json to diff the perf snapshot against (\"latest\" picks the highest-numbered committed one); >25% ns/op regressions fail")
+		quick    = flag.Bool("quick", false, "use reduced sweeps so the whole run finishes quickly")
+		csv      = flag.Bool("csv", false, "print adaptation traces (fig8-10, failure) as CSV")
+		perfOut  = flag.String("perfout", "BENCH_1.json", "output path for the perf snapshot written by -experiment perf")
+		perfPR   = flag.Int("pr", 1, "PR number stamped into the perf snapshot")
+		compare  = flag.String("compare", "", "older BENCH_*.json to diff the perf snapshot against (\"latest\" picks the highest-numbered committed one); >25% ns/op regressions fail")
 		trend    = flag.Bool("trend", false, "print the per-benchmark trajectory across every committed BENCH_*.json and exit (no experiments run)")
 		trendCSV = flag.String("trend-csv", "", "with -trend: also write the trajectory as long-format CSV (benchmark,pr,ns_op,allocs_op,bytes_op) to this file (\"-\" = stdout)")
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
-		memProf = flag.String("memprofile", "", "write a heap profile (taken after the experiments) to this file")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
+		memProf  = flag.String("memprofile", "", "write a heap profile (taken after the experiments) to this file")
 	)
 	flag.Parse()
 

@@ -1,6 +1,8 @@
 package cm
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"repro/internal/probe"
@@ -39,7 +41,10 @@ type Macroflow struct {
 	ctrl  Controller
 	sched Scheduler
 
-	flows map[FlowID]*flowState
+	// flows are the attached flows in FlowID order. Callback delivery walks
+	// them, and with a libcm fault injector each delivery draws from a
+	// seeded RNG, so the order must not depend on map iteration.
+	flows []*flowState
 
 	// Window accounting (bytes).
 	outstanding  int // charged via Notify, not yet covered by feedback
@@ -70,9 +75,8 @@ type simTimer interface {
 
 func newMacroflow(cm *CM, key macroflowKey) *Macroflow {
 	mf := &Macroflow{
-		cm:    cm,
-		key:   key,
-		flows: make(map[FlowID]*flowState),
+		cm:  cm,
+		key: key,
 	}
 	mf.ctrl = cm.cfg.NewController(ControllerConfig{
 		MTU:               cm.cfg.MTU,
@@ -121,7 +125,8 @@ func (m *Macroflow) FlowCount() int { return len(m.flows) }
 func (m *Macroflow) mtu() int { return m.cm.cfg.MTU }
 
 func (m *Macroflow) addFlow(fl *flowState) {
-	m.flows[fl.id] = fl
+	i, _ := slices.BinarySearchFunc(m.flows, fl.id, func(f *flowState, id FlowID) int { return cmp.Compare(f.id, id) })
+	m.flows = slices.Insert(m.flows, i, fl)
 	m.sched.Add(fl)
 }
 
@@ -141,7 +146,9 @@ func (m *Macroflow) removeFlow(fl *flowState) {
 		}
 		fl.unclaimedGrants = 0
 	}
-	delete(m.flows, fl.id)
+	if i := slices.Index(m.flows, fl); i >= 0 {
+		m.flows = slices.Delete(m.flows, i, i+1)
+	}
 	m.sched.Remove(fl)
 	fl.pendingRequests = 0
 	m.pump()

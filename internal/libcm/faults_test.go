@@ -146,3 +146,44 @@ func TestLibResyncsAfterCMRestart(t *testing.T) {
 	}
 	_ = s
 }
+
+// TestUpdateFaultsFollowFlowOrder: when one rate change crosses the report
+// threshold of several flows in a macroflow, each delivery draws its own
+// fault verdict, so which flow's update is dropped depends on the order the
+// macroflow visits its flows. That order is FlowID order, so repeated runs
+// drop exactly the same updates.
+func TestUpdateFaultsFollowFlowOrder(t *testing.T) {
+	run := func() string {
+		_, c, l := setup(t, ModeManual)
+		in := NewInjector(7)
+		l.SetInjector(in)
+		var flows [2]cm.FlowID
+		var got [2]int
+		for i := range flows {
+			src, dst := addrs(90 + i) // one destination host: one macroflow
+			flows[i] = l.Open(netsim.ProtoUDP, src, dst)
+			l.RegisterUpdate(flows[i], func(cm.FlowID, cm.Status) { got[i]++ })
+			l.Thresh(flows[i], 1.0001, 1.0001) // report every change
+		}
+		in.SetRates(0.5, 0, 0)
+		var trace []byte
+		for r := 0; r < 20; r++ {
+			c.Update(flows[0], 1000, 1000, cm.NoLoss, time.Duration(10+r)*time.Millisecond)
+			got = [2]int{}
+			l.Dispatch()
+			for _, n := range got {
+				trace = append(trace, byte('0'+n))
+			}
+		}
+		if in.Stats().DroppedUpdates == 0 {
+			t.Fatal("no update was dropped at rate 0.5")
+		}
+		return string(trace)
+	}
+	want := run()
+	for rep := 1; rep < 20; rep++ {
+		if got := run(); got != want {
+			t.Fatalf("repetition %d delivered updates %s, first run %s", rep, got, want)
+		}
+	}
+}

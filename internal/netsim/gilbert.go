@@ -49,7 +49,7 @@ func (g *GilbertElliott) Validate() error {
 		{"loss_good", g.LossGood},
 		{"loss_bad", g.LossBad},
 	} {
-		if p.v < 0 || p.v > 1 {
+		if !(p.v >= 0 && p.v <= 1) {
 			return fmt.Errorf("gilbert-elliott: %s = %v out of [0,1]", p.name, p.v)
 		}
 	}

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -23,16 +24,30 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*Spec)
+		want   string // substring the error must contain, if any
 	}{
-		{"no links", func(s *Spec) { s.Links = nil }},
-		{"self link", func(s *Spec) { s.Links[0].B = "a" }},
-		{"unknown router", func(s *Spec) { s.Routers = []string{"ghost"} }},
-		{"unknown cm host", func(s *Spec) { s.CMHosts = []string{"ghost"} }},
-		{"workload endpoint missing", func(s *Spec) { s.Workloads[0].To = "ghost" }},
-		{"workload to itself", func(s *Spec) { s.Workloads[0].To = "a" }},
-		{"workload at router", func(s *Spec) { s.Routers = []string{"b"} }},
-		{"bad kind", func(s *Spec) { s.Workloads[0].Kind = "warp" }},
-		{"bad cc", func(s *Spec) { s.Workloads[0].CC = "vegas" }},
+		{"no links", func(s *Spec) { s.Links = nil }, ""},
+		{"self link", func(s *Spec) { s.Links[0].B = "a" }, ""},
+		{"unknown router", func(s *Spec) { s.Routers = []string{"ghost"} }, ""},
+		{"unknown cm host", func(s *Spec) { s.CMHosts = []string{"ghost"} }, ""},
+		{"workload endpoint missing", func(s *Spec) { s.Workloads[0].To = "ghost" }, ""},
+		{"workload to itself", func(s *Spec) { s.Workloads[0].To = "a" }, ""},
+		{"workload at router", func(s *Spec) { s.Routers = []string{"b"} }, ""},
+		{"bad kind", func(s *Spec) { s.Workloads[0].Kind = "warp" }, ""},
+		{"bad cc", func(s *Spec) { s.Workloads[0].CC = "vegas" }, ""},
+		{"negative duration", func(s *Spec) { s.Duration = -time.Second }, "negative duration"},
+		{"negative flows", func(s *Spec) { s.Workloads[0].Flows = -1 }, "flows -1 negative"},
+		{"negative webmix flows", func(s *Spec) {
+			s.Workloads[0].Kind = KindWebMix
+			s.Workloads[0].Flows = -3
+		}, "flows -3 negative"},
+		{"negative bytes", func(s *Spec) { s.Workloads[0].Bytes = -1 }, "bytes -1 negative"},
+		{"negative stream bytes", func(s *Spec) {
+			s.Workloads[0].Kind = KindStream
+			s.Workloads[0].Bytes = -1
+		}, "bytes -1 negative"},
+		{"negative start", func(s *Spec) { s.Workloads[0].Start = -time.Millisecond }, "start -1ms negative"},
+		{"negative recv_window", func(s *Spec) { s.Workloads[0].RecvWindow = -1 }, "recv_window -1 negative"},
 	}
 	for _, tc := range cases {
 		spec := good()
@@ -40,6 +55,8 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		spec.fillDefaults()
 		if err := spec.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted a bad spec", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
 	spec := good()
@@ -78,6 +95,9 @@ func TestValidateRejectsBadLinkParameters(t *testing.T) {
 		{"reorder_rate", func(c *netsim.LinkConfig) { c.ReorderRate = 2 }},
 		{"duplicate_rate", func(c *netsim.LinkConfig) { c.DuplicateRate = -0.5 }},
 		{"duplicate_rate", func(c *netsim.LinkConfig) { c.DuplicateRate = 1.01 }},
+		{"p_good_bad", func(c *netsim.LinkConfig) { c.Gilbert = &netsim.GilbertElliott{PGoodBad: 2} }},
+		{"loss_bad", func(c *netsim.LinkConfig) { c.Gilbert = &netsim.GilbertElliott{LossBad: math.NaN()} }},
+		{"tick", func(c *netsim.LinkConfig) { c.Gilbert = &netsim.GilbertElliott{Tick: -time.Millisecond} }},
 	} {
 		_, err := Build(spec(tc.mutate))
 		if err == nil || !strings.Contains(err.Error(), tc.field) || !strings.Contains(err.Error(), "link 0") {
@@ -110,6 +130,12 @@ func TestRegistryCatalogue(t *testing.T) {
 		t.Fatal("registry empty")
 	}
 	for _, want := range []string{"dumbbell", "parkinglot", "star", "p2p"} {
+		if !slices.Contains(names, want) {
+			t.Fatalf("scenario %q not registered", want)
+		}
+	}
+	// Every registered scenario must pass Validate with its defaults.
+	for _, want := range names {
 		spec, err := Lookup(want)
 		if err != nil {
 			t.Fatalf("Lookup(%q): %v", want, err)

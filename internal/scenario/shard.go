@@ -212,7 +212,7 @@ func (sr *shardRun) window(until time.Duration, inclusive bool) {
 
 // drain moves every pending cross-shard delivery into its destination
 // scheduler. Sources are drained in shard order and each queue in FIFO
-// order, which — together with the (time, stamp, key, sub, seq) heap order —
+// order, which — together with the (time, stamp, key, sub, seq) event order —
 // pins the injection order deterministically.
 //
 // Residual tie rule: when an injected delivery ties a competitor on BOTH

@@ -217,9 +217,10 @@ func (s *Spec) routeProtoConfig() routeproto.Config {
 // fillDefaults normalises the spec in place. The Workloads slice is cloned
 // before any write: specs are replicated by value for batch runs (cmsim
 // -runs, the determinism tests), and the copies would otherwise share one
-// backing array that concurrent Run calls then race on.
+// backing array that concurrent Run calls then race on. Only zero values
+// default: a negative one is a spec error that Validate must still see.
 func (s *Spec) fillDefaults() {
-	if s.Duration <= 0 {
+	if s.Duration == 0 {
 		s.Duration = 30 * time.Second
 	}
 	if s.Seed == 0 {
@@ -248,19 +249,17 @@ func (s *Spec) fillDefaults() {
 			w.Kind = KindBulk
 		}
 		if w.Kind == KindWebMix {
-			if w.Flows <= 0 {
+			if w.Flows == 0 {
 				w.Flows = 32
 			}
-			// Only a zero rate defaults: a negative one is a spec error that
-			// Validate must still see.
 			if w.Rate == 0 {
 				w.Rate = 10
 			}
-			if w.Bytes <= 0 {
+			if w.Bytes == 0 {
 				w.Bytes = 12 << 10
 			}
 		}
-		if w.Flows <= 0 {
+		if w.Flows == 0 {
 			w.Flows = 1
 		}
 		if w.CC == "" {
@@ -272,10 +271,10 @@ func (s *Spec) fillDefaults() {
 				w.CC = CCNative
 			}
 		}
-		if w.Bytes <= 0 && w.Kind == KindBulk {
+		if w.Bytes == 0 && w.Kind == KindBulk {
 			w.Bytes = 1 << 20
 		}
-		if w.RecvWindow <= 0 {
+		if w.RecvWindow == 0 {
 			w.RecvWindow = 1 << 20
 		}
 		if w.Port == 0 {
@@ -299,8 +298,9 @@ func (s *Spec) fillDefaults() {
 }
 
 // validateLinkConfig rejects link parameters the simulator cannot honour:
-// negative rates, delays or buffer limits, and probabilities outside [0,1].
-// (A negative queue limit would otherwise panic inside Build.)
+// negative rates, delays or buffer limits, and probabilities outside [0,1],
+// the static Gilbert-Elliott model's included. (A negative queue limit would
+// otherwise panic inside Build.)
 func validateLinkConfig(c *netsim.LinkConfig) error {
 	switch {
 	case c.Bandwidth < 0:
@@ -317,17 +317,22 @@ func validateLinkConfig(c *netsim.LinkConfig) error {
 		return fmt.Errorf("reorder_rate %v outside [0,1]", c.ReorderRate)
 	case !(c.DuplicateRate >= 0 && c.DuplicateRate <= 1):
 		return fmt.Errorf("duplicate_rate %v outside [0,1]", c.DuplicateRate)
+	case c.Gilbert != nil:
+		return c.Gilbert.Validate()
 	}
 	return nil
 }
 
 // Validate checks the spec for structural errors: empty topology, links or
 // workloads referring to unknown nodes, unknown workload kinds or congestion
-// controllers, and workloads sourced at routers (routers carry transit
-// traffic only).
+// controllers, workloads sourced at routers (routers carry transit traffic
+// only), and negative durations, sizes, counts or start times.
 func (s *Spec) Validate() error {
 	if len(s.Links) == 0 {
 		return fmt.Errorf("scenario %q: no links", s.Name)
+	}
+	if s.Duration < 0 {
+		return fmt.Errorf("scenario %q: negative duration %v", s.Name, s.Duration)
 	}
 	nodes := make(map[string]bool, len(s.Links)+1)
 	for i, l := range s.Links {
@@ -377,8 +382,17 @@ func (s *Spec) Validate() error {
 		if udpKind(w.Kind) && w.CC == CCNative {
 			return fmt.Errorf("scenario %q: workload %d kind %q is a CM client; cc %q is invalid", s.Name, i, w.Kind, w.CC)
 		}
-		if w.Rate < 0 {
+		switch {
+		case w.Rate < 0:
 			return fmt.Errorf("scenario %q: workload %d rate %v negative", s.Name, i, w.Rate)
+		case w.Flows < 0:
+			return fmt.Errorf("scenario %q: workload %d flows %d negative", s.Name, i, w.Flows)
+		case w.Bytes < 0:
+			return fmt.Errorf("scenario %q: workload %d bytes %d negative", s.Name, i, w.Bytes)
+		case w.Start < 0:
+			return fmt.Errorf("scenario %q: workload %d start %v negative", s.Name, i, w.Start)
+		case w.RecvWindow < 0:
+			return fmt.Errorf("scenario %q: workload %d recv_window %d negative", s.Name, i, w.RecvWindow)
 		}
 	}
 	// Host-level fault events must name real nodes: a CM to restart or

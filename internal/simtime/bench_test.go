@@ -63,3 +63,26 @@ func BenchmarkScaleTimerWheel1k(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkShardWindow4k runs the sharded-window pattern against a standing
+// population of far-future events: each window schedules and drains one
+// event with RunUntilBefore, and AdvanceTo then checks that nothing earlier
+// than the window end is left. Both peek at the far-future bucket without
+// running it, so this pins the cost of a peek that does not move the queue.
+func BenchmarkShardWindow4k(b *testing.B) {
+	const population = 4096
+	const window = 50 * time.Microsecond
+	s := NewScheduler()
+	fn := func() {}
+	for i := 0; i < population; i++ {
+		s.At(time.Hour+time.Duration(i)*time.Millisecond, fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		end := s.Now() + window
+		s.After(window/2, fn)
+		s.RunUntilBefore(end)
+		s.AdvanceTo(end)
+	}
+}

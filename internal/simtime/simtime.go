@@ -9,8 +9,8 @@
 // times or after relative delays and are executed in timestamp order; ties are
 // broken by scheduling order (FIFO), which keeps runs reproducible. Each event
 // additionally records the virtual time it was *inserted* (its stamp) and an
-// optional caller-chosen sort key and sub-sequence, and the full heap order is
-// (time, stamp, key, sub, seq). For ordinary scheduling the extra keys are
+// optional caller-chosen sort key and sub-sequence, and the full event order
+// is (time, stamp, key, sub, seq). For ordinary scheduling the extra keys are
 // redundant — stamps are nondecreasing in seq — but they are what lets a
 // sharded simulation inject events from another scheduler (InjectAt) into
 // exactly the position a single-scheduler run would have given them: the
@@ -18,16 +18,24 @@
 // tie between events inserted at the same instant on different shards, where
 // no insertion order exists that both runs could observe.
 //
-// The scheduler is built for the inner loop of large experiments: the event
-// queue is a specialized 4-ary min-heap (no container/heap interface
-// dispatch), fired and cancelled events are recycled through a freelist so
-// steady-state scheduling allocates nothing, and Cancel removes the event
-// from the heap immediately instead of leaking it until its timestamp.
+// The scheduler is built for the inner loop of large experiments. The event
+// queue is a monotone radix queue (Ahuja, Mehlhorn, Orlin and Tarjan, 1990):
+// because nothing is ever scheduled before Now, events are bucketed by the
+// highest bit in which their timestamp differs from a base no later than Now,
+// so inserting and cancelling are O(1) slice operations and finding the
+// minimum is a bit scan; only events at exactly the base are kept ordered,
+// in a small 4-ary heap on the tie-break keys. (time, stamp, key, sub, seq)
+// is a strict total order, so the queue pops exactly the sequence any
+// correct priority queue would. Fired and cancelled events are recycled
+// through a freelist so steady-state scheduling allocates nothing, and
+// Cancel removes the event from the queue immediately instead of leaking it
+// until its timestamp.
 package simtime
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -85,7 +93,7 @@ type Event struct {
 	at time.Duration
 	// stamp is the virtual time the event was inserted: Now for local
 	// scheduling, the remote sender's insertion time for InjectAt. It is the
-	// second heap key, before key and seq, so injected events sort exactly
+	// second sort key, before key and seq, so injected events sort exactly
 	// where a single-scheduler run would have placed them.
 	stamp time.Duration
 	seq   uint64
@@ -103,20 +111,21 @@ type Event struct {
 	// instead of leaning on scheduler insertion order (seq); zero for
 	// ordinary scheduling.
 	sub uint32
-	// index is the heap position while queued, notQueued after firing or
-	// recycling, and canceledIdx once Cancel has run (folding the canceled
-	// flag into the index saves a separate bool). Adding the sub and kind
-	// fields grew the Event from 72 to 80 bytes — a measurable but small cost
-	// on the tie-heavy churn benchmark, accepted in exchange for the explicit
-	// delivery sequence and per-kind cost attribution.
+	// index is the position in the event's bucket (the heap position in
+	// bucket 0) while queued, notQueued after firing or recycling, and
+	// canceledIdx once Cancel has run (folding the canceled flag into the
+	// index saves a separate bool).
 	index int32
 	// kind classifies the event for the optional profiler (KindOther when
 	// untagged); it packs into padding next to index.
-	kind  Kind
-	s     *Scheduler
-	fn    func()
-	argFn func(any)
-	arg   any
+	kind Kind
+	// bucket is the queue bucket holding the event while it is queued; like
+	// kind it sits in padding, so an Event stays 80 bytes.
+	bucket uint8
+	s      *Scheduler
+	fn     func()
+	argFn  func(any)
+	arg    any
 }
 
 const (
@@ -138,7 +147,7 @@ func (e *Event) Cancel() {
 		return
 	}
 	if e.index >= 0 && e.s != nil {
-		e.s.removeEvent(int(e.index))
+		e.s.remove(e)
 		e.s.recycle(e)
 	}
 	e.index = canceledIdx
@@ -158,8 +167,28 @@ func (e *Event) fire() {
 // goroutine, which mirrors the paper's single-host kernel module and keeps the
 // reproduction deterministic.
 type Scheduler struct {
-	now      time.Duration
-	events   []*Event // 4-ary min-heap ordered by (at, seq) / (at, stamp, key, sub, seq)
+	now time.Duration
+	// base is the timestamp the bucket layout is relative to. Every queued
+	// event has at >= base, and base <= now, so nothing can be scheduled
+	// below it. It rises, to the earliest pending timestamp, only when that
+	// event is about to run: a peek that runs nothing must leave it alone,
+	// because a sharded barrier may still inject an event below the minimum.
+	base uint64
+	// buckets[0] holds the events at exactly base as a 4-ary min-heap on the
+	// tie-break keys (eventLess). buckets[b], b >= 1, holds in no particular
+	// order the events whose timestamp first differs from base in bit b-1,
+	// that is bits.Len64(at^base) == b; every event in bucket b is earlier
+	// than every event in bucket b+1. Timestamps are never negative, so bit
+	// 63 never differs and 64 buckets suffice.
+	buckets [64][]*Event
+	// nonEmpty has bit b set iff buckets[b] is non-empty.
+	nonEmpty uint64
+	// mins[b] is the earliest timestamp in buckets[b] (b >= 1), or -1 when
+	// unknown. Inserts keep it current; cancelling the minimum forgets it
+	// and the next peek rescans. The cache keeps repeated peeks at a large
+	// far-future bucket (one per sharded window) O(1).
+	mins [64]time.Duration
+
 	free     []*Event // recycled events; bounds steady-state allocation at zero
 	seq      uint64
 	executed uint64
@@ -167,15 +196,6 @@ type Scheduler struct {
 	// prof, when non-nil, receives per-kind wall-clock aggregates for every
 	// fired event (see EnableProfile). Disarmed cost: one nil check in Step.
 	prof *Profile
-	// stamped selects the multi-key comparator that orders same-timestamp
-	// events by insertion stamp, then sort key and sub-sequence, before seq.
-	// It flips on the
-	// first InjectAt or AtArgKeyed and never back: until then stamps are
-	// nondecreasing in seq and every key is zero, so both comparators
-	// produce the same order (which also makes the mid-run flip safe — the
-	// heap is valid under either), and simulations that use neither keyed
-	// scheduling nor injection never pay for the extra comparisons.
-	stamped bool
 }
 
 // NewScheduler returns a scheduler with the virtual clock at zero.
@@ -188,7 +208,13 @@ func (s *Scheduler) Now() time.Duration { return s.now }
 
 // Len returns the number of pending events. Cancelled events are removed
 // eagerly and do not count.
-func (s *Scheduler) Len() int { return len(s.events) }
+func (s *Scheduler) Len() int {
+	n := 0
+	for m := s.nonEmpty; m != 0; m &= m - 1 {
+		n += len(s.buckets[bits.TrailingZeros64(m)])
+	}
+	return n
+}
 
 // Executed returns the total number of events that have run.
 func (s *Scheduler) Executed() uint64 { return s.executed }
@@ -200,24 +226,130 @@ func (s *Scheduler) Executed() uint64 { return s.executed }
 func (s *Scheduler) SetEventLimit(n uint64) { s.limit = n }
 
 // ---------------------------------------------------------------------------
-// 4-ary min-heap keyed by (at, seq), with all comparisons inlined.
-//
-// A 4-ary heap halves the tree depth of a binary heap, trading slightly more
-// comparisons per level for far fewer cache-missing levels — the standard
-// choice for timer wheels backing discrete-event simulators.
+// Monotone radix queue. See the Scheduler fields for the layout.
 // ---------------------------------------------------------------------------
 
-func eventLess(a, b *Event) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// push queues ev in the bucket its timestamp selects relative to base.
+func (s *Scheduler) push(ev *Event) {
+	b := bits.Len64(uint64(ev.at) ^ s.base)
+	if b == 0 {
+		s.heapPush(ev)
+		return
 	}
-	return a.seq < b.seq
+	bk := s.buckets[b]
+	if len(bk) == 0 {
+		s.nonEmpty |= 1 << b
+		s.mins[b] = ev.at
+	} else if ev.at < s.mins[b] {
+		s.mins[b] = ev.at
+	}
+	ev.bucket = uint8(b)
+	ev.index = int32(len(bk))
+	s.buckets[b] = append(bk, ev)
 }
 
-func eventLessStamped(a, b *Event) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// remove takes a queued event out of its bucket (used by Cancel).
+func (s *Scheduler) remove(ev *Event) {
+	b := int(ev.bucket)
+	if b == 0 {
+		s.heapRemove(int(ev.index))
+		return
 	}
+	bk := s.buckets[b]
+	last := len(bk) - 1
+	if i := int(ev.index); i != last {
+		moved := bk[last]
+		bk[i] = moved
+		moved.index = int32(i)
+	}
+	bk[last] = nil
+	s.buckets[b] = bk[:last]
+	ev.index = notQueued
+	if last == 0 {
+		s.nonEmpty &^= 1 << b
+	} else if ev.at == s.mins[b] {
+		s.mins[b] = -1
+	}
+}
+
+// bucketMin returns the earliest timestamp in the non-empty bucket b >= 1.
+func (s *Scheduler) bucketMin(b int) time.Duration {
+	if s.mins[b] < 0 {
+		bk := s.buckets[b]
+		m := bk[0].at
+		for _, ev := range bk[1:] {
+			m = min(m, ev.at)
+		}
+		s.mins[b] = m
+	}
+	return s.mins[b]
+}
+
+// peek returns the earliest pending timestamp without moving base.
+func (s *Scheduler) peek() (time.Duration, bool) {
+	switch {
+	case s.nonEmpty == 0:
+		return 0, false
+	case s.nonEmpty&1 != 0:
+		return time.Duration(s.base), true
+	}
+	return s.bucketMin(bits.TrailingZeros64(s.nonEmpty)), true
+}
+
+// next removes and returns the earliest event if its timestamp is at or
+// before limit, and returns nil otherwise. Only a removal moves base.
+func (s *Scheduler) next(limit time.Duration) *Event {
+	if s.nonEmpty&1 == 0 {
+		if s.nonEmpty == 0 {
+			return nil
+		}
+		b := bits.TrailingZeros64(s.nonEmpty)
+		bk := s.buckets[b]
+		if len(bk) == 1 {
+			// A lone event in the lowest bucket is the minimum: take it
+			// without going through bucket 0.
+			ev := bk[0]
+			if ev.at > limit {
+				return nil
+			}
+			bk[0] = nil
+			s.buckets[b] = bk[:0]
+			s.nonEmpty &^= 1 << b
+			s.base = uint64(ev.at)
+			ev.index = notQueued
+			return ev
+		}
+		m := s.bucketMin(b)
+		if m > limit {
+			return nil
+		}
+		s.rebase(b, m)
+	} else if time.Duration(s.base) > limit {
+		return nil
+	}
+	return s.heapPop()
+}
+
+// rebase moves base up to m, the earliest timestamp in the lowest non-empty
+// bucket b, and redistributes that bucket. Its events share every bit above
+// b-1 with m, so each lands in a lower bucket (those at m in bucket 0), and
+// the buckets above b keep their events: the new base agrees with the old
+// one on every bit that places them.
+func (s *Scheduler) rebase(b int, m time.Duration) {
+	bk := s.buckets[b]
+	s.buckets[b] = bk[:0]
+	s.nonEmpty &^= 1 << b
+	s.base = uint64(m)
+	for _, ev := range bk {
+		s.push(ev)
+	}
+	clear(bk)
+}
+
+// eventLess orders events at the same timestamp: by insertion stamp, sort
+// key, sub-sequence, then scheduling order. Bucket 0 holds only events at
+// exactly base, so this is the whole comparator.
+func eventLess(a, b *Event) bool {
 	if a.stamp != b.stamp {
 		return a.stamp < b.stamp
 	}
@@ -231,59 +363,53 @@ func eventLessStamped(a, b *Event) bool {
 }
 
 func (s *Scheduler) heapPush(ev *Event) {
-	ev.index = int32(len(s.events))
-	s.events = append(s.events, ev)
-	s.siftUp(int(ev.index))
+	ev.bucket = 0
+	s.buckets[0] = append(s.buckets[0], ev)
+	s.nonEmpty |= 1
+	s.siftUp(len(s.buckets[0]) - 1)
 }
 
-// heapPop removes and returns the minimum event. The caller guarantees the
-// heap is non-empty.
+// heapPop removes and returns the minimum of bucket 0. The caller guarantees
+// the bucket is non-empty.
 func (s *Scheduler) heapPop() *Event {
-	h := s.events
+	h := s.buckets[0]
 	ev := h[0]
 	n := len(h) - 1
 	last := h[n]
 	h[n] = nil
-	s.events = h[:n]
+	s.buckets[0] = h[:n]
 	ev.index = notQueued
 	if n > 0 {
-		last.index = 0
-		s.events[0] = last
+		h[0] = last
 		s.siftDown(0)
+	} else {
+		s.nonEmpty &^= 1
 	}
 	return ev
 }
 
-// removeEvent deletes the event at heap index i (used by Cancel).
-func (s *Scheduler) removeEvent(i int) {
-	h := s.events
+// heapRemove deletes the event at heap index i of bucket 0.
+func (s *Scheduler) heapRemove(i int) {
+	h := s.buckets[0]
 	n := len(h) - 1
 	removed := h[i]
 	last := h[n]
 	h[n] = nil
-	s.events = h[:n]
+	s.buckets[0] = h[:n]
 	removed.index = notQueued
+	if n == 0 {
+		s.nonEmpty &^= 1
+	}
 	if i != n {
-		last.index = int32(i)
-		s.events[i] = last
+		h[i] = last
 		// The moved element may need to go either direction.
 		s.siftDown(i)
 		s.siftUp(int(last.index))
 	}
 }
 
-// The sift loops exist twice — once per comparator — because the comparison
-// sits in the innermost loop of the whole simulator: dispatching through a
-// function value (or loading the unused stamp field on every compare) costs
-// ~20% on tie-heavy workloads, measured by BenchmarkScaleEventChurn. The
-// bodies must stay textually identical apart from the eventLess call.
-
 func (s *Scheduler) siftUp(i int) {
-	if s.stamped {
-		s.siftUpStamped(i)
-		return
-	}
-	h := s.events
+	h := s.buckets[0]
 	ev := h[i]
 	for i > 0 {
 		parent := (i - 1) / 4
@@ -300,11 +426,7 @@ func (s *Scheduler) siftUp(i int) {
 }
 
 func (s *Scheduler) siftDown(i int) {
-	if s.stamped {
-		s.siftDownStamped(i)
-		return
-	}
-	h := s.events
+	h := s.buckets[0]
 	n := len(h)
 	ev := h[i]
 	for {
@@ -325,54 +447,6 @@ func (s *Scheduler) siftDown(i int) {
 		}
 		child := h[min]
 		if !eventLess(child, ev) {
-			break
-		}
-		h[i] = child
-		child.index = int32(i)
-		i = min
-	}
-	h[i] = ev
-	ev.index = int32(i)
-}
-
-func (s *Scheduler) siftUpStamped(i int) {
-	h := s.events
-	ev := h[i]
-	for i > 0 {
-		parent := (i - 1) / 4
-		p := h[parent]
-		if !eventLessStamped(ev, p) {
-			break
-		}
-		h[i] = p
-		p.index = int32(i)
-		i = parent
-	}
-	h[i] = ev
-	ev.index = int32(i)
-}
-
-func (s *Scheduler) siftDownStamped(i int) {
-	h := s.events
-	n := len(h)
-	ev := h[i]
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		min := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if eventLessStamped(h[c], h[min]) {
-				min = c
-			}
-		}
-		child := h[min]
-		if !eventLessStamped(child, ev) {
 			break
 		}
 		h[i] = child
@@ -425,7 +499,7 @@ func (s *Scheduler) At(t time.Duration, fn func()) *Event {
 	}
 	ev := s.newEvent(t)
 	ev.fn = fn
-	s.heapPush(ev)
+	s.push(ev)
 	return ev
 }
 
@@ -451,7 +525,7 @@ func (s *Scheduler) AtArg(t time.Duration, fn func(any), arg any) *Event {
 	ev := s.newEvent(t)
 	ev.argFn = fn
 	ev.arg = arg
-	s.heapPush(ev)
+	s.push(ev)
 	return ev
 }
 
@@ -511,19 +585,13 @@ func (s *Scheduler) AtArgKeyed(t time.Duration, key, sub uint32, kind Kind, fn f
 	if t < s.now {
 		t = s.now
 	}
-	// Keys carry information only under the multi-key comparator; switch to
-	// it permanently, exactly as InjectAt does (see Scheduler.stamped — the
-	// flip is safe because every already-queued event has key zero and local
-	// stamps are nondecreasing in seq, so the heap is valid under both
-	// comparators at the moment of the flip).
-	s.stamped = true
 	ev := s.newEvent(t)
 	ev.key = key
 	ev.sub = sub
 	ev.kind = kind
 	ev.argFn = fn
 	ev.arg = arg
-	s.heapPush(ev)
+	s.push(ev)
 	return ev
 }
 
@@ -567,9 +635,6 @@ func (s *Scheduler) InjectAt(t, stamp time.Duration, key, sub uint32, kind Kind,
 	if stamp > t {
 		stamp = t
 	}
-	// Injection is what makes stamps carry information; switch to the
-	// stamp-aware comparator from here on (see Scheduler.stamped).
-	s.stamped = true
 	ev := s.newEvent(t)
 	ev.stamp = stamp
 	ev.key = key
@@ -577,17 +642,21 @@ func (s *Scheduler) InjectAt(t, stamp time.Duration, key, sub uint32, kind Kind,
 	ev.kind = kind
 	ev.argFn = fn
 	ev.arg = arg
-	s.heapPush(ev)
+	s.push(ev)
 	return ev
 }
 
 // Step executes the earliest pending event, advancing the virtual clock to its
 // timestamp. It returns false if no events remain.
-func (s *Scheduler) Step() bool {
-	if len(s.events) == 0 {
+func (s *Scheduler) Step() bool { return s.step(math.MaxInt64) }
+
+// step executes the earliest pending event if its timestamp is at or before
+// limit, and reports whether it did.
+func (s *Scheduler) step(limit time.Duration) bool {
+	ev := s.next(limit)
+	if ev == nil {
 		return false
 	}
-	ev := s.heapPop()
 	if ev.at > s.now {
 		s.now = ev.at
 	}
@@ -619,8 +688,7 @@ func (s *Scheduler) Run() {
 // clock to exactly t. Events scheduled during execution are honoured if they
 // fall within the horizon.
 func (s *Scheduler) RunUntil(t time.Duration) {
-	for len(s.events) > 0 && s.events[0].at <= t {
-		s.Step()
+	for s.step(t) {
 	}
 	if t > s.now {
 		s.now = t
@@ -638,8 +706,12 @@ func (s *Scheduler) RunFor(d time.Duration) {
 // t may fire network dynamics that must order before them), so the clock is
 // advanced to t separately with AdvanceTo once the barrier completes.
 func (s *Scheduler) RunUntilBefore(t time.Duration) {
-	for len(s.events) > 0 && s.events[0].at < t {
-		s.Step()
+	// Timestamps are never negative, so a horizon at or before zero holds
+	// nothing (and t-1 cannot overflow below it).
+	if t <= 0 {
+		return
+	}
+	for s.step(t - 1) {
 	}
 }
 
@@ -648,8 +720,8 @@ func (s *Scheduler) RunUntilBefore(t time.Duration) {
 // would skip it — so it doubles as the end-of-window assertion that
 // RunUntilBefore really drained the window.
 func (s *Scheduler) AdvanceTo(t time.Duration) {
-	if len(s.events) > 0 && s.events[0].at < t {
-		panic(fmt.Sprintf("simtime: AdvanceTo(%v) over pending event at %v", t, s.events[0].at))
+	if at, ok := s.peek(); ok && at < t {
+		panic(fmt.Sprintf("simtime: AdvanceTo(%v) over pending event at %v", t, at))
 	}
 	if t > s.now {
 		s.now = t

@@ -94,10 +94,10 @@ const (
 	StateSynSent
 	StateSynReceived
 	StateEstablished
-	StateFinWait  // our FIN sent, not yet acknowledged
+	StateFinWait   // our FIN sent, not yet acknowledged
 	StateCloseWait // peer's FIN received, we may still send
-	StateClosing  // both FINs in flight
-	StateTimeWait // fully closed
+	StateClosing   // both FINs in flight
+	StateTimeWait  // fully closed
 )
 
 // String names the state.
